@@ -74,6 +74,7 @@ var crashFaults = []string{faultNone, faultSnapFlip, faultSnapTruncate,
 // CrashSoakSeed is one seeded run's outcome.
 type CrashSoakSeed struct {
 	Seed        int64
+	Shape       string   // substrate shape (see crashShape)
 	Faults      []string // fault kind per episode, in order
 	Restored    uint64   // snapshot restores across all victim restarts
 	Fallbacks   int      // forward-replay fallbacks (loss/corruption signature)
@@ -126,8 +127,22 @@ func snapStatsOf(st *wal.Store) snapStats {
 		quarantined: s.SnapshotsQuarantined}
 }
 
+// crashShape picks the seed's substrate shape from its parity, set
+// explicitly so it does not depend on the host's core count: odd seeds run
+// the serialized replica (one instance on one event loop, handoffs through
+// the replica's own deferred queue), even seeds run it sharded (four
+// instances over two instance workers plus the ordering stage, handoffs
+// through the runtime's mailboxes).
+func crashShape(seed int64) (instances, workers int, shape string) {
+	if seed%2 == 0 {
+		return 4, 2, "m=4/w=2"
+	}
+	return 1, 1, "m=1/w=1"
+}
+
 func runCrashSeed(o CrashSoakOptions, seed int64) (CrashSoakSeed, error) {
-	sr := CrashSoakSeed{Seed: seed}
+	instances, workers, shape := crashShape(seed)
+	sr := CrashSoakSeed{Seed: seed, Shape: shape}
 	rng := rand.New(rand.NewSource(seed))
 	const n = 4
 	fss := make([]*wal.MemFS, n)
@@ -137,7 +152,7 @@ func runCrashSeed(o CrashSoakOptions, seed int64) (CrashSoakSeed, error) {
 	src := newCrashSource(seed, 600)
 	done := make(chan struct{}, 4096)
 	cl, err := runtime.NewCluster(runtime.ClusterConfig{
-		N: n, Instances: 1, Source: src,
+		N: n, Instances: instances, InstanceWorkers: workers, Source: src,
 		Records:            o.Records,
 		CheckpointInterval: o.CheckpointInterval,
 		DataDir:            "crashsoak",
@@ -160,7 +175,7 @@ func runCrashSeed(o CrashSoakOptions, seed int64) (CrashSoakSeed, error) {
 			select {
 			case <-done:
 			case <-deadline:
-				return fmt.Errorf("timed out waiting for %s (%d/%d batches)", what, i, k)
+				return fmt.Errorf("timed out waiting for %s (%d/%d batches):\n%s", what, i, k, progressReport(cl))
 			}
 		}
 		return nil
@@ -307,12 +322,27 @@ func tablesConverged(cl *runtime.Cluster) bool {
 	return true
 }
 
+// progressReport renders each replica's stable height, delivered count and
+// per-instance views (atomic mirrors, safe on live and killed replicas).
+func progressReport(cl *runtime.Cluster) string {
+	var b strings.Builder
+	for i, r := range cl.Replicas {
+		fmt.Fprintf(&b, "replica %d: stable=%d delivered=%d views=", i, r.StableHeight(), r.DeliveredCount())
+		for j := 0; j < cl.M; j++ {
+			fmt.Fprintf(&b, " %d", r.Instance(int32(j)).CurrentView())
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
 // divergenceReport renders which replicas and keys disagree with the
 // control — the forensic dump a failed soak leaves behind.
 func divergenceReport(cl *runtime.Cluster) string {
 	var b strings.Builder
 	control := cl.Execs[0].Store().Dump()
 	fmt.Fprintf(&b, "control applied=%d records=%d\n", cl.Execs[0].Store().Applied(), len(control))
+	b.WriteString(progressReport(cl))
 	for i := 1; i < len(cl.Execs); i++ {
 		st := cl.Execs[i].Store()
 		if st.Fingerprint() == cl.Execs[0].Store().Fingerprint() && st.Applied() == cl.Execs[0].Store().Applied() {
@@ -368,7 +398,7 @@ func CrashSoakTable(res CrashSoakResult) Table {
 			conv = "DIVERGED"
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", s.Seed), strings.Join(s.Faults, " "),
+			fmt.Sprintf("%d %s", s.Seed, s.Shape), strings.Join(s.Faults, " "),
 			fmt.Sprintf("%d", s.Restored), fmt.Sprintf("%d", s.Fallbacks),
 			fmt.Sprintf("%d", s.Quarantined), conv, lat(s.Converge)})
 	}

@@ -96,11 +96,8 @@ func (r *Replica) ckptEnabled() bool { return r.cfg.CheckpointInterval > 0 }
 
 // noteDrained folds one executed delivery (deduped, non-noop — the
 // sequence all correct replicas execute identically) into the rolling
-// execution hash and the per-instance anchors. Anchors therefore name each
-// instance's last *executed* proposal: everything above them — including
-// the no-op chain segments between anchors and the live views — is what
-// garbage collection retains, so a rejoiner resuming at the anchors can
-// backfill the chain by Asks.
+// execution hash. The per-instance anchors advance on every drained commit
+// instead, no-ops included (see deliver).
 func (r *Replica) noteDrained(inst int32, oc orderedCommit) {
 	if !r.ckptEnabled() {
 		return
@@ -110,7 +107,6 @@ func (r *Replica) noteDrained(inst int32, oc orderedCommit) {
 	binary.LittleEndian.PutUint32(buf[32:], uint32(inst))
 	copy(buf[36:], oc.dig[:])
 	r.ckpt.execHash = crypto.Digest(buf[:])
-	r.ckpt.anchors[inst] = types.Anchor{View: oc.view, Digest: oc.dig}
 }
 
 // maybeCheckpoint takes and broadcasts a checkpoint when the delivered

@@ -149,7 +149,10 @@ func TestDigestWaiterFlushGC(t *testing.T) {
 	// re-posted retry re-registers nothing.
 	r.awaitDigest(0, types.Digest{0xab})
 	r.awaitDigest(protocol.OrderingShard, types.Digest{0xcd})
+	// The flush runs inside the dissemination timer's handler; its re-posted
+	// retries run when that handler ends (runDeferred).
 	r.flushDigestWaiters()
+	r.runDeferred()
 	r.dwMu.Lock()
 	left := len(r.dWaiters)
 	r.dwMu.Unlock()
@@ -166,6 +169,7 @@ func TestDigestWaiterFlushGC(t *testing.T) {
 	p.Sig = provFor(1).Sign(d[:])
 	r.HandleMessage(1, p)
 	r.flushDigestWaiters()
+	r.runDeferred()
 	r.dwMu.Lock()
 	_, live := r.dWaiters[full.ID]
 	r.dwMu.Unlock()

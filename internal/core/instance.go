@@ -108,6 +108,9 @@ type Instance struct {
 	// completed; every certification event re-evaluates them (the triple's
 	// links can certify in any order — see maybeCommitChains).
 	certTips []*proposal
+	// farViews holds each replica's highest Sync view beyond the flooding
+	// window (see noteFarView).
+	farViews []types.View
 
 	// pm owns the adaptive-timer policy (§3.5) behind the Pacemaker
 	// interface; certStart anchors the elapsed-time feedback it receives.
@@ -171,6 +174,7 @@ func newInstance(r *Replica, id int32) *Instance {
 		// rate-limited by the zero timestamp.
 		lastGapAsk:   -r.cfg.RetransmitInterval,
 		chainServeAt: make(map[types.NodeID]time.Duration),
+		farViews:     make([]types.View, r.cfg.N),
 	}
 	return inst
 }
@@ -690,7 +694,8 @@ func (in *Instance) buildCP() []types.CPEntry {
 func (in *Instance) onSync(from types.NodeID, msg *types.Sync) {
 	v := msg.View
 	if v > in.view+types.View(4*in.r.cfg.PendingWindow) {
-		return // flooding guard: implausibly far future
+		in.noteFarView(from, v) // flooding guard: not stored
+		return
 	}
 	// Υ: retransmit our view-v Sync to a replica trying to catch up (§3.4).
 	if msg.Retransmit {
@@ -773,6 +778,25 @@ func (in *Instance) recordSync(from types.NodeID, msg *types.Sync) {
 		}
 	}
 	in.checkTransitions()
+}
+
+// noteFarView carries rapid view synchronization past the flooding window
+// (Figure 4, lines 12–15). A Sync that far ahead is not stored; only its
+// sender's highest such view is, one slot per replica whatever Byzantine
+// senders claim. Once f+1 replicas sit at views ≥ w > view+1 — one of them
+// correct, so view w exists — the instance jumps to w. Without it, an
+// instance left more than the window behind (a rejoiner whose idle instance
+// spun on without it) could only crawl forward one timeout at a time.
+func (in *Instance) noteFarView(from types.NodeID, v types.View) {
+	if from < 0 || int(from) >= len(in.farViews) || v <= in.farViews[from] {
+		return
+	}
+	in.farViews[from] = v
+	views := append([]types.View(nil), in.farViews...)
+	sort.Slice(views, func(i, j int) bool { return views[i] > views[j] })
+	if w := views[in.weak()-1]; w > in.view+1 {
+		in.catchUpTo(w)
+	}
 }
 
 // catchUpTo jumps to view w after f+1 replicas proved views ≥ w exist,

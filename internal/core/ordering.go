@@ -12,7 +12,8 @@ import (
 // order and feeds the execution layer (and, through checkpoint.go, the
 // checkpoint manager). Under a sharding substrate the stage runs as its own
 // serialized shard (protocol.OrderingShard); under the classic single event
-// loop its methods run inline and nothing changes.
+// loop it shares the loop, and its drain runs from the replica's deferred
+// queue — on both, after the committing handler returned.
 //
 // The merge structure is a min-heap over per-instance ring buffers: each
 // instance's committed-but-unordered proposals queue in chain order (views
@@ -176,15 +177,18 @@ func (o *ordering) rebuildHeap() {
 // --- replica-side ordering entry points ---
 
 // onCommitted receives a committed proposal from an instance in chain order
-// and hands it to the ordering stage — a cross-shard post under a sharding
-// substrate, an inline call under a serializing one (branched explicitly so
-// the serialized hot path allocates no closure).
+// and hands it to the ordering stage, which orders it after the current
+// handler returns (the post contract). Under a sharding substrate that is a
+// cross-shard post; under a serializing one the commit goes straight into
+// its instance's ring — the rings are the typed handoff queue — and only the
+// pre-bound drain is deferred, so the serialized hot path allocates nothing.
 func (r *Replica) onCommitted(inst int32, oc orderedCommit) {
-	if r.poster == nil {
-		r.orderCommit(inst, oc)
+	if r.poster != nil {
+		r.poster.PostShard(protocol.OrderingShard, func() { r.orderCommit(inst, oc) })
 		return
 	}
-	r.poster.PostShard(protocol.OrderingShard, func() { r.orderCommit(inst, oc) })
+	r.enqueueCommit(inst, oc)
+	r.post(protocol.OrderingShard, r.drainFn)
 }
 
 // InjectCommit is a benchmark/measurement hook: it hands one committed
@@ -193,11 +197,19 @@ func (r *Replica) onCommitted(inst int32, oc orderedCommit) {
 // protocol event — serialized with the ordering stage.
 func (r *Replica) InjectCommit(inst int32, view types.View, batch *types.Batch, dig types.Digest) {
 	r.onCommitted(inst, orderedCommit{view: view, batch: batch, dig: dig})
+	r.runDeferred()
 }
 
-// orderCommit runs on the ordering shard: it applies the per-instance
-// frontier guard, queues the commit, and drains the global total order.
+// orderCommit runs on the ordering shard: it queues the commit and drains
+// the global total order.
 func (r *Replica) orderCommit(inst int32, oc orderedCommit) {
+	r.enqueueCommit(inst, oc)
+	r.drain()
+}
+
+// enqueueCommit applies the per-instance frontier guard and queues the
+// commit on its instance's ring (ordering-stage state).
+func (r *Replica) enqueueCommit(inst int32, oc orderedCommit) {
 	if oc.view <= r.ord.frontiers[inst] {
 		// Below the handoff frontier: a non-monotonic instance handoff, or
 		// a commit that raced a checkpoint install covering it.
@@ -210,7 +222,6 @@ func (r *Replica) orderCommit(inst int32, oc orderedCommit) {
 		r.ord.heapPush(inst)
 	}
 	r.ord.advanceFrontier(inst, oc.view)
-	r.drain()
 }
 
 // drain executes the total order: repeatedly deliver the smallest
@@ -271,6 +282,17 @@ func (r *Replica) resolvePayload(oc *orderedCommit) bool {
 }
 
 func (r *Replica) deliver(inst int32, oc orderedCommit) {
+	if r.ckptEnabled() {
+		// The anchor names the instance's last drained proposal, no-op or
+		// not. Under the strict commit rule every correct replica commits
+		// the same chains, so the drained prefix at a checkpoint cut — and
+		// with it every anchor — is identical cluster-wide. An idle
+		// instance's anchor thus keeps pace with its no-op views, so a
+		// rejoiner installing the cut resumes it near the live view and
+		// checkpoint GC bounds its state (anchored at the last client
+		// batch, it would sit at view 0 and retain everything).
+		r.ckpt.anchors[inst] = types.Anchor{View: oc.view, Digest: oc.dig}
+	}
 	if oc.batch == nil || oc.batch.NoOp {
 		r.NoOps++
 		return
@@ -292,12 +314,9 @@ func (r *Replica) deliver(inst int32, oc orderedCommit) {
 	// across cuts), which is the trade-off for a transferable window. The
 	// executor reply cache keeps answering client retransmissions either
 	// way.
-	// Checkpoint accounting covers exactly the executed sequence (deduped
-	// non-noops): it is what the ledger chains and what all correct
-	// replicas observe identically. The raw drain interleave is NOT hashed
-	// — transiently forked no-op proposals can commit at some replicas and
-	// not others (they never carry client batches, so execution and
-	// ledgers are unaffected), and hashing them would split attestations.
+	// The execution hash covers exactly the executed sequence (deduped
+	// non-noops): it is what the ledger chains. No-ops and duplicates move
+	// only the anchors (above).
 	r.noteDrained(inst, oc)
 	r.Delivered++
 	r.deliveredMirror.Store(r.Delivered)

@@ -23,10 +23,12 @@ import (
 // (all its proposals, views, syncs, and certificate jobs are strictly
 // shard-local), and the cross-instance state — the total-order merge of
 // ordering.go plus the checkpoint manager of checkpoint.go — lives on the
-// serialized ordering stage. On a sharding substrate the instances run
-// concurrently and hand commits to the ordering stage through the bound
-// ShardPoster; on a serializing substrate every handoff runs inline and
-// the replica behaves exactly as the single-event-loop original.
+// serialized ordering stage. Every cross-shard handoff (see post) has one
+// contract on every substrate: the posted function runs after the current
+// handler returns, FIFO, as its own event. A sharding substrate delivers
+// posts through the bound ShardPoster; on a serializing substrate the
+// replica queues them itself and runs them when the top-level handler
+// (Start, HandleMessage, HandleTimer, HandleVerified, InjectCommit) is done.
 type Replica struct {
 	ctx   protocol.Context
 	cfg   Config
@@ -34,8 +36,13 @@ type Replica struct {
 
 	// poster routes cross-shard handoffs when a sharding substrate bound
 	// one (BindShards); nil means every event is already serialized and
-	// handoffs run inline.
+	// handoffs wait in deferred until the top-level handler is done.
 	poster protocol.ShardPoster
+	// deferred is the serialized substrate's handoff queue (see post and
+	// runDeferred); drainFn is r.drain bound once, so deferring the
+	// ordering drain on every commit allocates nothing.
+	deferred []func()
+	drainFn  func()
 
 	// ord is the total-order layer (§4.1, Figure 6): committed proposals
 	// are ordered by (view, instance); execution of view v waits until
@@ -104,6 +111,7 @@ func New(ctx protocol.Context, cfg Config) *Replica {
 			local:   make(map[uint64]localCkpt),
 		},
 	}
+	r.drainFn = r.drain
 	r.insts = make([]*Instance, cfg.Instances)
 	for i := range r.insts {
 		r.insts[i] = newInstance(r, int32(i))
@@ -150,6 +158,7 @@ func (r *Replica) Start() {
 			r.post(in.id, func() { in.installAnchor(a) })
 		}
 	}
+	r.runDeferred()
 }
 
 // --- protocol.ShardedProtocol ---
@@ -184,16 +193,33 @@ func (r *Replica) InstanceOf(msg types.Message) int32 {
 // through post from now on.
 func (r *Replica) BindShards(p protocol.ShardPoster) { r.poster = p }
 
-// post schedules fn serialized with the given shard's events: through the
-// bound poster on a sharding substrate, inline when every event is already
-// serialized (the classic single event loop, the simulator's default model,
-// and direct-drive tests).
+// post schedules fn serialized with the given shard's events. fn never runs
+// inside the caller: it runs after the current handler returns, FIFO —
+// through the bound poster on a sharding substrate, from the deferred queue
+// when every event is already serialized (the classic single event loop,
+// the simulator's default model, and direct-drive tests).
 func (r *Replica) post(shard int32, fn func()) {
 	if r.poster != nil {
 		r.poster.PostShard(shard, fn)
 		return
 	}
-	fn()
+	r.deferred = append(r.deferred, fn)
+}
+
+// runDeferred ends every top-level handler: it runs the functions posted
+// while the handler ran, FIFO, and those they post in turn, until the queue
+// is empty. With a bound poster the queue is always empty and untouched, so
+// concurrent shard handlers never write it.
+func (r *Replica) runDeferred() {
+	if len(r.deferred) == 0 {
+		return
+	}
+	for i := 0; i < len(r.deferred); i++ {
+		fn := r.deferred[i]
+		r.deferred[i] = nil
+		fn()
+	}
+	r.deferred = r.deferred[:0]
 }
 
 // DissemLayer exposes the bound dissemination layer (nil without digest
@@ -253,15 +279,15 @@ func (r *Replica) HandleMessage(from types.NodeID, msg types.Message) {
 			r.cfg.Dissem.OnMessage(from, msg)
 		}
 	}
+	r.runDeferred()
 }
 
 // HandleTimer implements protocol.Protocol.
 func (r *Replica) HandleTimer(tag protocol.TimerTag) {
-	if tag.Kind == protocol.TimerStateFetch {
+	switch tag.Kind {
+	case protocol.TimerStateFetch:
 		r.onFetchTimer(tag)
-		return
-	}
-	if tag.Kind == dissem.TimerKind {
+	case dissem.TimerKind:
 		if r.cfg.Dissem != nil {
 			r.cfg.Dissem.OnTimer()
 			if r.dwTicks++; r.dwTicks >= dwFlushTicks {
@@ -269,11 +295,12 @@ func (r *Replica) HandleTimer(tag protocol.TimerTag) {
 				r.flushDigestWaiters()
 			}
 		}
-		return
+	default:
+		if in := r.instance(tag.Instance); in != nil {
+			in.onTimer(tag)
+		}
 	}
-	if in := r.instance(tag.Instance); in != nil {
-		in.onTimer(tag)
-	}
+	r.runDeferred()
 }
 
 // IngressJob implements protocol.IngressVerifier. A Propose must carry a
@@ -336,11 +363,10 @@ func (r *Replica) IngressJob(from types.NodeID, msg types.Message) (protocol.Ver
 func (r *Replica) HandleVerified(tag protocol.TimerTag, ok bool) {
 	if tag.Instance < 0 {
 		r.onCkptVerified(tag, ok)
-		return
-	}
-	if in := r.instance(tag.Instance); in != nil {
+	} else if in := r.instance(tag.Instance); in != nil {
 		in.onVerified(tag, ok)
 	}
+	r.runDeferred()
 }
 
 var (
@@ -429,7 +455,7 @@ func (r *Replica) flushDigestWaiters() {
 	sort.Slice(shards, func(i, j int) bool { return shards[i] < shards[j] })
 	for _, shard := range shards {
 		if shard == protocol.OrderingShard {
-			r.post(protocol.OrderingShard, r.drain)
+			r.post(protocol.OrderingShard, r.drainFn)
 			continue
 		}
 		if in := r.instance(shard); in != nil {
@@ -453,7 +479,7 @@ func (r *Replica) onDigestReady(id types.Digest) {
 	r.dwMu.Unlock()
 	for shard := range w {
 		if shard == protocol.OrderingShard {
-			r.post(protocol.OrderingShard, r.drain)
+			r.post(protocol.OrderingShard, r.drainFn)
 			continue
 		}
 		if in := r.instance(shard); in != nil {

@@ -153,8 +153,10 @@ const OrderingShard int32 = -1
 // stay serialized and FIFO. The protocol in turn guarantees that handling
 // an event touches only the state of the shard that owns it; every
 // cross-shard interaction goes through the ShardPoster bound with
-// BindShards. Substrates that keep the classic single event loop simply
-// never call BindShards and nothing changes.
+// BindShards. Substrates that keep the classic single event loop never call
+// BindShards; the protocol then queues its handoffs itself and runs them
+// when the current top-level handler returns, so a handoff means the same
+// thing on every substrate (see ShardPoster).
 //
 // Event-to-shard routing:
 //
@@ -182,10 +184,12 @@ type ShardedProtocol interface {
 }
 
 // ShardPoster schedules a function to run serialized with the events of
-// one shard (an instance id, or OrderingShard). Posts from one shard to
-// another are FIFO per (source, target) pair and must never be shed —
-// protocols key liveness-critical handoffs (commit delivery, checkpoint
-// garbage collection) on them.
+// one shard (an instance id, or OrderingShard). A posted function never
+// runs inside the posting call: it runs as its own event after the target
+// shard's current handler returns. Posts from one shard to another are FIFO
+// per (source, target) pair and must never be shed — protocols key
+// liveness-critical handoffs (commit delivery, checkpoint garbage
+// collection) on them.
 type ShardPoster interface {
 	PostShard(shard int32, fn func())
 }

@@ -207,3 +207,49 @@ func TestClusterShardedKillAndRejoin(t *testing.T) {
 			cl.Replicas[0].StableHeight(), cl.Replicas[3].StableHeight())
 	}
 }
+
+// TestClusterRejoinsIdleInstance: a replica restarted after an outage
+// resumes an idle instance (no-op proposals only) at the live view. Its
+// checkpoint anchor follows the instance's no-op commits, and Syncs beyond
+// the flooding window still move it once f+1 replicas show a higher view;
+// anchored at view 0 and deaf to far Syncs, the instance could only crawl
+// forward one timeout at a time while its peers spun ahead.
+func TestClusterRejoinsIdleInstance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time integration test")
+	}
+	src := newQueueSource(1, 200, 5) // instance 1 never gets a client batch
+	cl, err := runtime.NewCluster(runtime.ClusterConfig{
+		N: 4, Instances: 2, InstanceWorkers: 2, Source: src,
+		CheckpointInterval: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+
+	idleView := func(i int) types.View { return cl.Replicas[i].Instance(1).CurrentView() }
+	for cl.Replicas[0].StableHeight() < 16 {
+		time.Sleep(10 * time.Millisecond)
+	}
+	cl.Kill(3)
+	// Outlast the flooding window (4 × PendingWindow = 256 views) by far.
+	frozen := idleView(3)
+	deadline := time.Now().Add(30 * time.Second)
+	for idleView(0) < frozen+1000 {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle instance reached only view %d while replica 3 was down", idleView(0))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := cl.Restart(3); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(20 * time.Second)
+	for idleView(3)+256 < idleView(0) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rejoined idle instance stuck at view %d, live view %d", idleView(3), idleView(0))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

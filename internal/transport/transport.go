@@ -516,7 +516,17 @@ func (t *TCP) acceptLoop() {
 				continue
 			}
 		}
+		// Close marks done before it walks conns under connMu, so a conn
+		// accepted after that walk sees done here and is closed now rather
+		// than left open for serveInbound to wait on.
 		t.connMu.Lock()
+		select {
+		case <-t.done:
+			t.connMu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		t.conns = append(t.conns, conn)
 		t.connMu.Unlock()
 		t.wg.Add(1)
